@@ -331,4 +331,79 @@ mod tests {
     fn unknown_backend_is_refused() {
         assert!(record_trace("quantum", &WallclockScale::test()).is_err());
     }
+
+    /// FNV-1a 64 over a byte stream.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Digest of every replayed op's start and end bits, batch by batch.
+    fn timeline_digest(replays: &[clm_trace::BatchReplay]) -> u64 {
+        fnv1a(replays.iter().flat_map(|r| {
+            r.timeline.ops().iter().flat_map(|op| {
+                op.start
+                    .to_bits()
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(op.end.to_bits().to_le_bytes())
+            })
+        }))
+    }
+
+    /// Golden schedules: the recorded traces of the simulated and sharded
+    /// backends, and knob replays of the simulated trace, digest to fixed
+    /// values.  Every emitted op, dependency edge, duration, start and end
+    /// is covered, so any change to the schedule builder's emission order or
+    /// pricing shows up here.  At one device the sharded engine emits
+    /// exactly the simulated backend's events.
+    #[test]
+    fn recorded_and_replayed_schedules_match_their_golden_digests() {
+        let base = WallclockScale::test();
+        let simulated = record_trace("simulated", &base).unwrap();
+        assert_eq!(simulated.events.len(), 45);
+        assert_eq!(fnv1a(simulated.encode()), 0xf20a_3064_f9eb_4ecc);
+        for (devices, events, digest) in [
+            (1, 45, None),
+            (2, 71, Some(0x2921_7d59_f13a_e507)),
+            (4, 107, Some(0xcead_1a6c_b341_8854)),
+        ] {
+            let scale = WallclockScale { devices, ..base };
+            let sharded = record_trace("sharded", &scale).unwrap();
+            assert_eq!(sharded.events.len(), events, "devices={devices}");
+            match digest {
+                Some(d) => assert_eq!(fnv1a(sharded.encode()), d, "devices={devices}"),
+                None => assert_eq!(sharded.events, simulated.events),
+            }
+        }
+
+        let mut digests = Vec::new();
+        for window in [0, 1, 3] {
+            for devices in [1, 2, 4] {
+                let knobs = clm_trace::ReplayKnobs {
+                    window: Some(window),
+                    devices: Some(devices),
+                    ..Default::default()
+                };
+                let replays = clm_trace::replay_with_knobs(&simulated, &knobs).unwrap();
+                digests.push(timeline_digest(&replays));
+            }
+        }
+        assert_eq!(digests, GOLDEN_REPLAYS);
+    }
+
+    /// `replay_with_knobs` timeline digests of the simulated test trace,
+    /// window-major over windows {0, 1, 3} × devices {1, 2, 4}.
+    const GOLDEN_REPLAYS: [u64; 9] = [
+        0xba38_0624_d56a_23c5,
+        0x5944_a2e6_11f8_a3f3,
+        0x1589_8693_21fd_d269,
+        0x75cc_748f_e473_4618,
+        0x2d0d_6465_a718_3747,
+        0x1589_8693_21fd_d269,
+        0x6244_c6b8_843c_a7b1,
+        0x2d0d_6465_a718_3747,
+        0x1589_8693_21fd_d269,
+    ];
 }

@@ -883,6 +883,88 @@ mod tests {
         engine.lose_devices(2);
     }
 
+    /// FNV-1a 64 of the debug rendering of every batch's scheduled ops
+    /// (kind, lane, start, end, duration, bytes, rows, micro-batch, deps)
+    /// plus the staging pool's counters.  `{:?}` prints f64s in shortest
+    /// round-trip form, so equal digests mean bit-identical schedules.
+    fn schedule_digest(reports: &[IterationReport], pool: PoolStats) -> u64 {
+        let text = format!(
+            "{:?}{pool:?}",
+            reports.iter().map(|r| r.timeline.ops()).collect::<Vec<_>>()
+        );
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Golden schedules of the paths the trace goldens in `clm-bench` do
+    /// not reach: batch-end dense Adam, the no-overlap comparison systems
+    /// and fault-injected runs (transient retries, a straggler lane and
+    /// staging-lease denials), at one and two devices.
+    #[test]
+    fn engine_schedules_match_their_golden_digests() {
+        use sim_device::{FaultPlan, FaultSpec};
+        let (dataset, targets, init) = tiny_setup();
+        let cams = &dataset.cameras[..6];
+        let tgts = &targets[..6];
+        let faults = || {
+            FaultPlan::new(
+                FaultSpec::new(11)
+                    .with_transients(0.5, 16)
+                    .with_straggler(Lane::GpuComm, 3.0, 4)
+                    .with_staging_exhaustion(1, 2),
+            )
+        };
+        let dense = TrainConfig {
+            overlapped_adam: false,
+            ..Default::default()
+        };
+        let system = |system: SystemKind| TrainConfig {
+            system,
+            ..Default::default()
+        };
+        let config = |devices: usize| RuntimeConfig {
+            num_devices: devices,
+            cost_scale: 1000.0,
+            ..runtime_config(2)
+        };
+        let mut digests = Vec::new();
+        for (train, faulted) in [
+            (TrainConfig::default(), true),
+            (dense.clone(), false),
+            (system(SystemKind::NaiveOffload), false),
+            (system(SystemKind::Baseline), false),
+            (system(SystemKind::EnhancedBaseline), false),
+        ] {
+            let mut engine = PipelinedEngine::new(init.clone(), train, config(1));
+            if faulted {
+                engine.install_fault_plan(faults());
+            }
+            let reports: Vec<_> = (0..2).map(|_| engine.run_batch(cams, tgts)).collect();
+            digests.push(schedule_digest(&reports, engine.pool_stats()));
+        }
+        for (train, faulted) in [(TrainConfig::default(), true), (dense, false)] {
+            let mut engine = ShardedEngine::new(init.clone(), train, config(2), &dataset.cameras);
+            if faulted {
+                engine.install_fault_plan(faults());
+            }
+            let reports: Vec<_> = (0..2).map(|_| engine.run_batch(cams, tgts)).collect();
+            digests.push(schedule_digest(&reports, engine.pool_stats()));
+        }
+        assert_eq!(
+            digests,
+            [
+                0x2b05_d2b7_d6d6_6dcd,
+                0x5e92_43b0_b721_641d,
+                0x9fe0_8fb2_ce60_cc33,
+                0x34f6_243e_22ed_0d2d,
+                0x3ffd_87b6_09cb_4bd1,
+                0x142c_a48c_5b99_015b,
+                0x4bbd_fd10_918c_dcac,
+            ]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "use ShardedEngine")]
     fn pipelined_engine_rejects_multi_device_configs() {
