@@ -14,6 +14,10 @@
 //!   maximise cache reuse and early finalisation (§4.2.3, Appendix A.1);
 //! * [`schedule`] — overlapped CPU Adam: each Gaussian's Adam update runs as
 //!   soon as its gradients are final (§4.2.2);
+//! * [`pipeline`] — the one CLM batch schedule builder: windowed gathers,
+//!   compute, gradient stores, all-reduce and early-finalised CPU Adam
+//!   emitted onto the simulated device timeline (Figure 6), priced by a
+//!   pluggable cost source;
 //! * [`perf`] — the analytic performance/memory model that reproduces the
 //!   paper-scale experiments (max model size, throughput, communication
 //!   volume, memory breakdowns, utilisation) against the simulated device;
@@ -47,6 +51,7 @@ pub mod cache;
 pub mod offload;
 pub mod order;
 pub mod perf;
+pub mod pipeline;
 pub mod schedule;
 pub mod train;
 pub mod tsp;
@@ -60,6 +65,9 @@ pub use perf::{
     check_memory_fit, gpu_memory_required, max_trainable_gaussians, microbatch_stats_from_sets,
     pinned_memory_required, simulate_batch, synthetic_microbatch_stats, BatchSimulation,
     MemoryEstimate, MicrobatchStats, SceneProfile, SystemKind,
+};
+pub use pipeline::{
+    build_clm_schedule, push_prologue, AdamGroup, ClmBatchShape, CostSource, OpCost, PrefetchWindow,
 };
 pub use schedule::FinalizationPlan;
 pub use train::{

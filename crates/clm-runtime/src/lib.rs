@@ -16,16 +16,18 @@
 //!   buffering, ≥ batch size = unconstrained) and [`PrefetchPolicy`] — how
 //!   the window is chosen per batch (fixed, adapted to the last batch's
 //!   measured fetch/compute ratio, or to its EWMA-smoothed average);
-//! * [`PipelinedEngine`] / [`RuntimeConfig`] — the simulated backend;
+//! * [`SimEngine`] / [`RuntimeConfig`] — the simulated engine, the cost
+//!   source of `clm_core`'s one CLM schedule builder.  [`PipelinedEngine`]
+//!   is the single-device `simulated` backend;
 //! * [`ThreadedBackend`] / [`ThreadedConfig`] — the threaded backend: the
 //!   gather and CPU Adam lanes run on dedicated worker threads
 //!   ([`workers`]), so the overlap is real and wall-clock measurable;
-//! * [`ShardedEngine`] — the multi-GPU backend: N per-device lane groups
-//!   (gather / compute / CPU Adam) on one shared timeline, fed by
-//!   `gs_scene`'s visibility-aware Gaussian partitioner, with data-parallel
-//!   micro-batches and a fixed-device-order gradient all-reduce that keeps
-//!   the trajectory bit-identical to the 1-device trainer for any shard
-//!   count;
+//! * [`ShardedEngine`] — the same engine as the multi-GPU `sharded`
+//!   backend: N per-device lane groups (gather / compute / CPU Adam) on one
+//!   shared timeline, fed by `gs_scene`'s visibility-aware Gaussian
+//!   partitioner, with data-parallel micro-batches and a fixed-device-order
+//!   gradient all-reduce that keeps the trajectory bit-identical to the
+//!   1-device trainer for any shard count;
 //! * [`ExecutionBackend`] / [`ExecutionReport`] — the common abstraction
 //!   the benchmark harness drives both backends through;
 //! * [`IterationReport`] — per-iteration makespan, per-lane busy/idle time
@@ -72,17 +74,15 @@ pub mod engine;
 pub mod pool;
 pub mod prefetch;
 pub mod report;
-pub mod sharded;
 pub mod threaded;
 pub mod workers;
 
 pub use autotune::{derive_knobs, tuned, Autotune, Calibration, TunedKnobs};
 pub use backend::{ExecutionBackend, ExecutionReport, LaneBusy};
-pub use engine::{PipelinedEngine, RuntimeConfig};
+pub use engine::{PipelinedEngine, RuntimeConfig, ShardedEngine, SimEngine, PEER_HOP_FACTOR};
 pub use pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 pub use prefetch::{PrefetchPolicy, PrefetchWindow, TuningRecord, WarmStartCache, WindowSelector};
 pub use report::{IterationReport, LaneReport};
-pub use sharded::{ShardedEngine, PEER_HOP_FACTOR};
 pub use threaded::{ThreadedBackend, ThreadedConfig};
 pub use workers::{spawn_lane, BusyTimer, RecordedSpan, SpanLog, SpanLogError, WorkerLane};
 
@@ -593,39 +593,6 @@ mod tests {
             models.push(backend.trainer().model().clone());
         }
         assert_eq!(models[0], models[1], "backends agree on the numerics");
-    }
-
-    #[test]
-    fn sharded_single_device_reproduces_the_pipelined_schedule_exactly() {
-        // num_devices = 1 must degenerate to the single-device engine in
-        // every observable way: numerics, makespan, per-lane busy times and
-        // pinned-pool behaviour.
-        let (dataset, targets, init) = tiny_setup();
-        let cams = &dataset.cameras[..6];
-        let tgts = &targets[..6];
-        let train = TrainConfig::default();
-        let mut sharded = ShardedEngine::new(
-            init.clone(),
-            train.clone(),
-            runtime_config(2),
-            &dataset.cameras,
-        );
-        let mut engine = PipelinedEngine::new(init, train, runtime_config(2));
-        for _ in 0..2 {
-            let s = sharded.run_batch(cams, tgts);
-            let p = engine.run_batch(cams, tgts);
-            assert_eq!(s.batch, p.batch);
-            assert!((s.makespan() - p.makespan()).abs() < 1e-15, "same schedule");
-            for lane in Lane::ALL {
-                assert!(
-                    (s.timeline.busy_time(lane) - p.timeline.busy_time(lane)).abs() < 1e-15,
-                    "{lane:?}"
-                );
-            }
-        }
-        assert_eq!(sharded.trainer().model(), engine.trainer().model());
-        assert_eq!(sharded.pool_stats(), engine.pool_stats());
-        assert_eq!(sharded.cross_shard_rows(), 0, "one device owns everything");
     }
 
     #[test]

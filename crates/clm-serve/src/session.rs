@@ -160,12 +160,13 @@ pub struct EvictedState {
     pub warm_start_ratio: Option<f64>,
 }
 
-/// An active session's execution backend.
+/// An active session's execution backend.  Both engines are boxed: each
+/// carries most of a kilobyte inline, and the session handle stays small.
 pub enum Backend {
     /// Simulated discrete-event engine.
-    Simulated(PipelinedEngine),
+    Simulated(Box<PipelinedEngine>),
     /// Threaded wall-clock backend.
-    Threaded(ThreadedBackend),
+    Threaded(Box<ThreadedBackend>),
 }
 
 impl Backend {
@@ -300,7 +301,7 @@ impl Session {
                     }
                 };
                 engine.set_staging_capacity(Some(self.max_staging_buffers));
-                Backend::Simulated(engine)
+                Backend::Simulated(Box::new(engine))
             }
             BackendChoice::Threaded => {
                 let config = ThreadedConfig {
@@ -320,7 +321,7 @@ impl Session {
                     }
                 };
                 backend.set_staging_capacity(Some(self.max_staging_buffers));
-                Backend::Threaded(backend)
+                Backend::Threaded(Box::new(backend))
             }
         }
     }

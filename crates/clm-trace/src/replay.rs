@@ -11,22 +11,24 @@
 //!   path — matches the recording *bit for bit*.  This is the invariant CI
 //!   exercises: a trace is a faithful, re-simulatable record, not a lossy
 //!   log.
-//! * **Knob replay** ([`replay_with_knobs`]): the CLM pipeline structure is
-//!   rebuilt from the per-micro-batch costs in the trace under altered
-//!   knobs — a different prefetch window, a different simulated device
-//!   count, or per-kind cost multipliers — mirroring the runtime engines'
-//!   op-emission order.  Replaying with the *recorded* knobs reproduces the
-//!   recorded schedule exactly; altered knobs answer "what if" questions
-//!   (how much overlap does window 0 lose? what does a 4-way shard buy?)
-//!   without re-running training.
+//! * **Knob replay** ([`replay_with_knobs`]): each batch is decomposed into
+//!   its recorded per-micro-batch costs and rebuilt under altered knobs — a
+//!   different prefetch window, a different simulated device count, or
+//!   per-kind cost multipliers — by calling the same schedule builder the
+//!   runtime engines use ([`clm_core::build_clm_schedule`]), with the
+//!   recorded costs as its cost source.  Replaying with the *recorded* knobs
+//!   reproduces the recorded schedule exactly; altered knobs answer "what
+//!   if" questions (how much overlap does window 0 lose? what does a 4-way
+//!   shard buy?) without re-running training.
 //!
 //! Measured wall-clock traces (the synchronous and threaded backends)
 //! carry no dependency edges — their ordering lives in the measured start
 //! times — so they support reporting but not replay; both entry points
 //! reject them with [`ReplayError::MeasuredTrace`].
 
-use crate::format::{Trace, TraceEvent};
-use sim_device::{Lane, OpId, OpKind, Timeline};
+use crate::format::{CostParams, Trace, TraceEvent};
+use clm_core::{build_clm_schedule, push_prologue, AdamGroup, ClmBatchShape, CostSource, OpCost};
+use sim_device::{OpId, OpKind, Timeline};
 
 /// Why a trace could not be replayed.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,32 +147,8 @@ pub struct ReplayKnobs {
 /// Re-pushes every batch through a fresh timeline with recorded durations,
 /// lanes and dependencies — the bit-exact reconstruction.
 pub fn replay_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
-    if !trace.has_deps() {
-        return Err(ReplayError::MeasuredTrace);
-    }
-    let mut out = Vec::new();
-    for (epoch, batch, events) in trace.batches() {
-        let mut timeline = Timeline::new();
-        let mut ids: Vec<OpId> = Vec::with_capacity(events.len());
-        for e in events {
-            let deps: Vec<OpId> = e.deps.iter().map(|&d| ids[d as usize]).collect();
-            ids.push(timeline.push_traced(
-                e.kind,
-                e.lane,
-                e.dur,
-                e.bytes,
-                e.rows,
-                e.microbatch,
-                &deps,
-            ));
-        }
-        out.push(BatchReplay {
-            epoch,
-            batch,
-            timeline,
-        });
-    }
-    Ok(out)
+    // Identity multipliers pass every duration through untouched.
+    replay_scaled(trace, &KindScale::default())
 }
 
 /// Replays the trace exactly and checks, op for op, that every
@@ -211,8 +189,8 @@ pub fn verify_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
 
 /// Replays under altered knobs.  With no window/device override this is a
 /// structural replay (recorded dependency graph, scaled durations); with
-/// one, the CLM pipeline is rebuilt from per-micro-batch costs mirroring
-/// the engines' emission order.
+/// one, each batch is rebuilt by the engines' own schedule builder from its
+/// recorded per-micro-batch costs.
 pub fn replay_with_knobs(
     trace: &Trace,
     knobs: &ReplayKnobs,
@@ -235,12 +213,24 @@ pub fn replay_with_knobs(
     let window = knobs.window.unwrap_or(trace.meta.prefetch_window as usize);
     let mut out = Vec::new();
     for (epoch, batch, events) in trace.batches() {
-        let parsed = ClmBatch::parse(events)?;
-        let timeline = if devices == 1 {
-            parsed.rebuild_single(window, &knobs.scale)
-        } else {
-            parsed.rebuild_sharded(window, devices, trace, &knobs.scale)
+        let recorded = ClmBatch::parse(events)?;
+        let mut source = ReplaySource {
+            batch: &recorded,
+            devices,
+            cost: &trace.meta.cost,
+            scale: &knobs.scale,
         };
+        let mut timeline = Timeline::new();
+        let resize = recorded.resize.map(|c| source.scaled(OpKind::Resize, c));
+        let scheduling = source.scaled(OpKind::Scheduling, recorded.sched);
+        let sched = push_prologue(&mut timeline, resize, scheduling);
+        let shape = ClmBatchShape {
+            microbatches: recorded.mbs.len(),
+            devices,
+            window,
+            overlapped: recorded.overlapped,
+        };
+        build_clm_schedule(&mut timeline, &mut source, sched, shape);
         out.push(BatchReplay {
             epoch,
             batch,
@@ -280,21 +270,12 @@ fn replay_scaled(trace: &Trace, scale: &KindScale) -> Result<Vec<BatchReplay>, R
     Ok(out)
 }
 
-/// Recorded cost of one op (duration plus its accounting annotations).
-#[derive(Debug, Clone, Copy, Default)]
-struct OpCost {
-    dur: f64,
-    bytes: u64,
-    rows: u64,
-}
-
-impl OpCost {
-    fn of(e: &TraceEvent) -> OpCost {
-        OpCost {
-            dur: e.dur,
-            bytes: e.bytes,
-            rows: e.rows,
-        }
+/// Recorded cost of `e` (duration plus its accounting annotations).
+fn cost_of(e: &TraceEvent) -> OpCost {
+    OpCost {
+        dur: e.dur,
+        bytes: e.bytes,
+        rows: e.rows,
     }
 }
 
@@ -306,20 +287,21 @@ struct MbCost {
     backward: OpCost,
     store: OpCost,
     /// Early-finalised CPU Adam (overlapped CLM only).
-    adam: Option<OpCost>,
+    adam: OpCost,
 }
 
 /// A recorded single-device CLM batch decomposed into the costs the
-/// rebuild re-schedules.
+/// schedule builder re-schedules.
 #[derive(Debug, Clone)]
 struct ClmBatch {
     resize: Option<OpCost>,
     sched: OpCost,
-    /// F0 Adam over the batch-untouched set (overlapped CLM only).
-    f0_adam: Option<OpCost>,
+    /// Early-finalised CPU Adam per micro-batch (else one dense pass).
+    overlapped: bool,
+    /// The batch-level CPU Adam: `F_0` when overlapped, else the batch-end
+    /// dense pass.
+    batch_adam: OpCost,
     mbs: Vec<MbCost>,
-    /// Batch-end dense Adam (non-overlapped CLM only).
-    dense_adam: Option<OpCost>,
 }
 
 impl ClmBatch {
@@ -341,44 +323,25 @@ impl ClmBatch {
             .iter()
             .any(|e| e.kind == OpKind::CpuAdamUpdate && e.microbatch.is_some());
 
-        let mut parsed = ClmBatch {
-            resize: None,
-            sched: OpCost::default(),
-            f0_adam: None,
-            mbs: vec![MbCost::default(); m],
-            dense_adam: None,
-        };
-        let mut seen_sched = false;
+        let mut resize = None;
+        let mut sched = None;
+        let mut batch_adam = None;
+        let mut mbs = vec![MbCost::default(); m];
         let mut seen = vec![[false; 5]; m];
         for e in events {
             match (e.kind, e.microbatch) {
-                (OpKind::Resize, None) => parsed.resize = Some(OpCost::of(e)),
-                (OpKind::Scheduling, None) => {
-                    parsed.sched = OpCost::of(e);
-                    seen_sched = true;
-                }
-                (OpKind::CpuAdamUpdate, None) => {
-                    // Overlapped batches front-load F0; non-overlapped ones
-                    // end with the dense pass.
-                    if overlapped {
-                        parsed.f0_adam = Some(OpCost::of(e));
-                    } else {
-                        parsed.dense_adam = Some(OpCost::of(e));
-                    }
-                }
+                (OpKind::Resize, None) => resize = Some(cost_of(e)),
+                (OpKind::Scheduling, None) => sched = Some(cost_of(e)),
+                (OpKind::CpuAdamUpdate, None) => batch_adam = Some(cost_of(e)),
                 (kind, Some(mb)) => {
                     let mb = mb as usize;
-                    let slot = &mut parsed.mbs[mb];
-                    let (field, idx): (&mut OpCost, usize) = match kind {
+                    let slot = &mut mbs[mb];
+                    let (field, idx) = match kind {
                         OpKind::LoadParams => (&mut slot.gather, 0),
                         OpKind::Forward => (&mut slot.forward, 1),
                         OpKind::Backward => (&mut slot.backward, 2),
                         OpKind::StoreGrads => (&mut slot.store, 3),
-                        OpKind::CpuAdamUpdate => {
-                            slot.adam = Some(OpCost::of(e));
-                            seen[mb][4] = true;
-                            continue;
-                        }
+                        OpKind::CpuAdamUpdate => (&mut slot.adam, 4),
                         _ => {
                             return Err(ReplayError::BadStructure(
                                 "unexpected per-micro-batch op kind",
@@ -388,7 +351,7 @@ impl ClmBatch {
                     if seen[mb][idx] {
                         return Err(ReplayError::BadStructure("duplicate per-micro-batch op"));
                     }
-                    *field = OpCost::of(e);
+                    *field = cost_of(e);
                     seen[mb][idx] = true;
                 }
                 _ => {
@@ -396,405 +359,121 @@ impl ClmBatch {
                 }
             }
         }
-        if !seen_sched {
-            return Err(ReplayError::BadStructure("no scheduling op"));
-        }
-        for (mb, flags) in seen.iter().enumerate() {
-            if !flags[..4].iter().all(|&s| s) || (overlapped && !flags[4]) {
-                let _ = mb;
-                return Err(ReplayError::BadStructure(
-                    "micro-batch missing gather/forward/backward/store ops",
-                ));
-            }
-        }
-        Ok(parsed)
-    }
-
-    /// Mirrors `PipelinedEngine::run_clm_batch`'s emission order with the
-    /// recorded costs under prefetch window `w`.
-    fn rebuild_single(&self, w: usize, scale: &KindScale) -> Timeline {
-        let m = self.mbs.len();
-        let win = Window { w, m };
-        let mut t = Timeline::new();
-
-        let mut sched_deps = Vec::new();
-        if let Some(r) = &self.resize {
-            sched_deps.push(push_cost(
-                &mut t,
-                OpKind::Resize,
-                Lane::CpuScheduler,
-                r,
-                None,
-                &[],
-                scale,
+        let sched = sched.ok_or(ReplayError::BadStructure("no scheduling op"))?;
+        let batch_adam =
+            batch_adam.ok_or(ReplayError::BadStructure("no batch-level CPU Adam op"))?;
+        if seen
+            .iter()
+            .any(|flags| !flags[..4].iter().all(|&s| s) || (overlapped && !flags[4]))
+        {
+            return Err(ReplayError::BadStructure(
+                "micro-batch missing gather/forward/backward/store ops",
             ));
         }
-        let sched = push_cost(
-            &mut t,
-            OpKind::Scheduling,
-            Lane::CpuScheduler,
-            &self.sched,
-            None,
-            &sched_deps,
-            scale,
-        );
-        if let Some(f0) = &self.f0_adam {
-            push_cost(
-                &mut t,
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                f0,
-                None,
-                &[sched],
-                scale,
-            );
-        }
-
-        let mut gathers: Vec<Option<OpId>> = vec![None; m];
-        let mut backwards: Vec<Option<OpId>> = vec![None; m];
-        for i in win.initial() {
-            gathers[i] = Some(self.push_gather(&mut t, i, &win, &backwards, sched, scale));
-        }
-        let mut last_store = sched;
-        for i in 0..m {
-            let fwd = push_cost(
-                &mut t,
-                OpKind::Forward,
-                Lane::GpuCompute,
-                &self.mbs[i].forward,
-                Some(i as u32),
-                &[gathers[i].expect("gather issued before compute")],
-                scale,
-            );
-            let bwd = push_cost(
-                &mut t,
-                OpKind::Backward,
-                Lane::GpuCompute,
-                &self.mbs[i].backward,
-                Some(i as u32),
-                &[fwd],
-                scale,
-            );
-            backwards[i] = Some(bwd);
-            let store = push_cost(
-                &mut t,
-                OpKind::StoreGrads,
-                Lane::GpuComm,
-                &self.mbs[i].store,
-                Some(i as u32),
-                &[bwd],
-                scale,
-            );
-            last_store = store;
-            if let Some(adam) = &self.mbs[i].adam {
-                push_cost(
-                    &mut t,
-                    OpKind::CpuAdamUpdate,
-                    Lane::CpuAdam,
-                    adam,
-                    Some(i as u32),
-                    &[store],
-                    scale,
-                );
-            }
-            for j in win.after(i) {
-                gathers[j] = Some(self.push_gather(&mut t, j, &win, &backwards, sched, scale));
-            }
-        }
-        if let Some(dense) = &self.dense_adam {
-            push_cost(
-                &mut t,
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                dense,
-                None,
-                &[last_store],
-                scale,
-            );
-        }
-        t
-    }
-
-    fn push_gather(
-        &self,
-        t: &mut Timeline,
-        i: usize,
-        win: &Window,
-        backwards: &[Option<OpId>],
-        sched: OpId,
-        scale: &KindScale,
-    ) -> OpId {
-        let mut deps = vec![sched];
-        if let Some(k) = win.compute_dep(i) {
-            deps.push(backwards[k].expect("window dependencies point at completed compute"));
-        }
-        push_cost(
-            t,
-            OpKind::LoadParams,
-            Lane::GpuComm,
-            &self.mbs[i].gather,
-            Some(i as u32),
-            &deps,
-            scale,
-        )
-    }
-
-    /// Mirrors `ShardedEngine::run_clm_sharded`'s emission order across
-    /// `devices` simulated lane groups.  Re-sharding a single-device
-    /// recording has no ownership partition to consult, so the rebuild
-    /// approximates uniform sharding: `1/D` of every fetch is local, Adam
-    /// groups split evenly across owners — the cost-model constants from
-    /// the trace header price the peer hops and all-reduce chains.
-    fn rebuild_sharded(
-        &self,
-        w: usize,
-        devices: usize,
-        trace: &Trace,
-        scale: &KindScale,
-    ) -> Timeline {
-        let cost = &trace.meta.cost;
-        let m = self.mbs.len();
-        let local_len = |d: usize| (m + devices - 1 - d) / devices;
-        let wins: Vec<Window> = (0..devices)
-            .map(|d| Window { w, m: local_len(d) })
-            .collect();
-        let mut t = Timeline::new();
-
-        let mut sched_deps = Vec::new();
-        if let Some(r) = &self.resize {
-            sched_deps.push(push_cost(
-                &mut t,
-                OpKind::Resize,
-                Lane::CpuScheduler,
-                r,
-                None,
-                &[],
-                scale,
-            ));
-        }
-        let sched = push_cost(
-            &mut t,
-            OpKind::Scheduling,
-            Lane::CpuScheduler,
-            &self.sched,
-            None,
-            &sched_deps,
-            scale,
-        );
-        if let Some(f0) = &self.f0_adam {
-            for (dev, rows) in split_rows(f0.rows, devices).into_iter().enumerate() {
-                let dur = prorate(f0.dur, rows, f0.rows);
-                t.push_traced(
-                    OpKind::CpuAdamUpdate,
-                    Lane::adam_of(dev),
-                    scale.apply(OpKind::CpuAdamUpdate, dur),
-                    0,
-                    rows,
-                    None,
-                    &[sched],
-                );
-            }
-        }
-
-        let mut gathers: Vec<Option<OpId>> = vec![None; m];
-        let mut backwards: Vec<Option<OpId>> = vec![None; m];
-        let mut last_store: Vec<Option<OpId>> = vec![None; devices];
-        let mut last_allreduce: Option<OpId> = None;
-
-        let sharded_gather = |t: &mut Timeline, backwards: &[Option<OpId>], i: usize| -> OpId {
-            let dev = i % devices;
-            let k = i / devices;
-            let mut deps = vec![sched];
-            if let Some(k_dep) = wins[dev].compute_dep(k) {
-                deps.push(
-                    backwards[k_dep * devices + dev]
-                        .expect("window dependencies point at completed compute"),
-                );
-            }
-            // Uniform-ownership approximation: 1/D of the fetch is local.
-            let g = &self.mbs[i].gather;
-            let local_bytes = g.bytes / devices as u64;
-            let remote_bytes = g.bytes - local_bytes;
-            let dur = cost.transfer_time(local_bytes)
-                + cost.peer_hop_factor * cost.transfer_time(remote_bytes);
-            t.push_traced(
-                OpKind::LoadParams,
-                Lane::comm_of(dev),
-                scale.apply(OpKind::LoadParams, dur),
-                g.bytes,
-                g.rows,
-                Some(i as u32),
-                &deps,
-            )
-        };
-
-        for dev in 0..devices {
-            for k in wins[dev].initial() {
-                let i = k * devices + dev;
-                gathers[i] = Some(sharded_gather(&mut t, &backwards, i));
-            }
-        }
-        for i in 0..m {
-            let dev = i % devices;
-            let k = i / devices;
-            let fwd = push_cost(
-                &mut t,
-                OpKind::Forward,
-                Lane::compute_of(dev),
-                &self.mbs[i].forward,
-                Some(i as u32),
-                &[gathers[i].expect("gather issued before compute")],
-                scale,
-            );
-            let bwd = push_cost(
-                &mut t,
-                OpKind::Backward,
-                Lane::compute_of(dev),
-                &self.mbs[i].backward,
-                Some(i as u32),
-                &[fwd],
-                scale,
-            );
-            backwards[i] = Some(bwd);
-            let store = push_cost(
-                &mut t,
-                OpKind::StoreGrads,
-                Lane::comm_of(dev),
-                &self.mbs[i].store,
-                Some(i as u32),
-                &[bwd],
-                scale,
-            );
-            last_store[dev] = Some(store);
-
-            if let Some(adam) = &self.mbs[i].adam {
-                let adam_dep = push_allreduce(
-                    &mut t,
-                    cost,
-                    devices,
-                    adam.rows,
-                    Some(i as u32),
-                    &last_store,
-                    &mut last_allreduce,
-                    sched,
-                    scale,
-                );
-                for (dev2, rows) in split_rows(adam.rows, devices).into_iter().enumerate() {
-                    let dur = prorate(adam.dur, rows, adam.rows);
-                    t.push_traced(
-                        OpKind::CpuAdamUpdate,
-                        Lane::adam_of(dev2),
-                        scale.apply(OpKind::CpuAdamUpdate, dur),
-                        0,
-                        rows,
-                        Some(i as u32),
-                        &[adam_dep],
-                    );
-                }
-            }
-            for k2 in wins[dev].after(k) {
-                let j = k2 * devices + dev;
-                gathers[j] = Some(sharded_gather(&mut t, &backwards, j));
-            }
-        }
-        if let Some(dense) = &self.dense_adam {
-            let adam_dep = push_allreduce(
-                &mut t,
-                cost,
-                devices,
-                dense.rows,
-                None,
-                &last_store,
-                &mut last_allreduce,
-                sched,
-                scale,
-            );
-            for (dev, rows) in split_rows(dense.rows, devices).into_iter().enumerate() {
-                let dur = prorate(dense.dur, rows, dense.rows);
-                t.push_traced(
-                    OpKind::CpuAdamUpdate,
-                    Lane::adam_of(dev),
-                    scale.apply(OpKind::CpuAdamUpdate, dur),
-                    0,
-                    rows,
-                    None,
-                    &[adam_dep],
-                );
-            }
-        }
-        t
+        Ok(ClmBatch {
+            resize,
+            sched,
+            overlapped,
+            batch_adam,
+            mbs,
+        })
     }
 }
 
-/// Mirrors the sharded engine's fixed-device-order all-reduce chain,
-/// priced by the trace header's cost model.
-#[allow(clippy::too_many_arguments)]
-fn push_allreduce(
-    t: &mut Timeline,
-    cost: &crate::format::CostParams,
+/// The replay's [`CostSource`]: the recorded costs, passed through under
+/// the per-kind scale.  Re-sharding a single-device recording has no
+/// ownership partition to consult, so at `D > 1` it approximates uniform
+/// sharding: `1/D` of every fetch is local and Adam groups split evenly
+/// across owners, with the trace header's cost model pricing the peer hops
+/// and all-reduce links.
+struct ReplaySource<'a> {
+    batch: &'a ClmBatch,
     devices: usize,
-    group_rows: u64,
-    microbatch: Option<u32>,
-    last_store: &[Option<OpId>],
-    last_allreduce: &mut Option<OpId>,
-    sched: OpId,
-    scale: &KindScale,
-) -> OpId {
-    if devices == 1 {
-        return last_store[0].unwrap_or(sched);
-    }
-    let total_bytes =
-        (group_rows as f64 * cost.gradient_bytes as f64 * cost.cost_scale).round() as u64;
-    let per_device = (total_bytes as f64 * (devices - 1) as f64 / devices as f64).round() as u64;
-    let mut base_deps: Vec<OpId> = last_store.iter().flatten().copied().collect();
-    if base_deps.is_empty() {
-        base_deps.push(sched);
-    }
-    if let Some(prev) = *last_allreduce {
-        base_deps.push(prev);
-    }
-    let mut tail: Option<OpId> = None;
-    for dev in 0..devices {
-        let mut deps = base_deps.clone();
-        if let Some(prev) = tail {
-            deps.push(prev);
-        }
-        tail = Some(t.push_traced(
-            OpKind::AllReduce,
-            Lane::comm_of(dev),
-            scale.apply(OpKind::AllReduce, cost.transfer_time(per_device)),
-            per_device,
-            group_rows,
-            microbatch,
-            &deps,
-        ));
-    }
-    *last_allreduce = tail;
-    tail.expect("devices >= 2 pushed at least one op")
+    cost: &'a CostParams,
+    scale: &'a KindScale,
 }
 
-fn push_cost(
-    t: &mut Timeline,
-    kind: OpKind,
-    lane: Lane,
-    cost: &OpCost,
-    microbatch: Option<u32>,
-    deps: &[OpId],
-    scale: &KindScale,
-) -> OpId {
-    t.push_traced(
-        kind,
-        lane,
-        scale.apply(kind, cost.dur),
-        cost.bytes,
-        cost.rows,
-        microbatch,
-        deps,
-    )
+impl ReplaySource<'_> {
+    fn scaled(&self, kind: OpKind, cost: OpCost) -> OpCost {
+        OpCost {
+            dur: self.scale.apply(kind, cost.dur),
+            ..cost
+        }
+    }
+
+    /// The recorded CPU Adam of `group`.
+    fn recorded_adam(&self, group: AdamGroup) -> OpCost {
+        match group {
+            AdamGroup::Finalized(i) => self.batch.mbs[i].adam,
+            AdamGroup::Untouched | AdamGroup::Dense => self.batch.batch_adam,
+        }
+    }
+}
+
+impl CostSource for ReplaySource<'_> {
+    fn gather(&mut self, i: usize, _device: usize) -> OpCost {
+        let g = self.batch.mbs[i].gather;
+        if self.devices == 1 {
+            return self.scaled(OpKind::LoadParams, g);
+        }
+        let local_bytes = g.bytes / self.devices as u64;
+        let remote_bytes = g.bytes - local_bytes;
+        let dur = self.cost.transfer_time(local_bytes)
+            + self.cost.peer_hop_factor * self.cost.transfer_time(remote_bytes);
+        self.scaled(OpKind::LoadParams, OpCost { dur, ..g })
+    }
+
+    fn compute(&mut self, i: usize) -> [OpCost; 2] {
+        let mb = &self.batch.mbs[i];
+        [
+            self.scaled(OpKind::Forward, mb.forward),
+            self.scaled(OpKind::Backward, mb.backward),
+        ]
+    }
+
+    fn store(&mut self, i: usize) -> OpCost {
+        self.scaled(OpKind::StoreGrads, self.batch.mbs[i].store)
+    }
+
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        let recorded = self.recorded_adam(group);
+        if self.devices == 1 {
+            // Passed through untouched: `prorate(dur, r, r)` is not exact.
+            return vec![self.scaled(OpKind::CpuAdamUpdate, recorded)];
+        }
+        split_rows(recorded.rows, self.devices)
+            .into_iter()
+            .map(|rows| {
+                let dur = prorate(recorded.dur, rows, recorded.rows);
+                self.scaled(
+                    OpKind::CpuAdamUpdate,
+                    OpCost {
+                        dur,
+                        bytes: 0,
+                        rows,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    fn allreduce(&mut self, group: AdamGroup) -> OpCost {
+        let rows = self.recorded_adam(group).rows;
+        let total_bytes =
+            (rows as f64 * self.cost.gradient_bytes as f64 * self.cost.cost_scale).round() as u64;
+        let d = self.devices;
+        let per_device = (total_bytes as f64 * (d - 1) as f64 / d as f64).round() as u64;
+        let link = OpCost {
+            dur: self.cost.transfer_time(per_device),
+            bytes: per_device,
+            rows,
+        };
+        self.scaled(OpKind::AllReduce, link)
+    }
 }
 
 /// `rows` split as evenly as possible across `devices` (remainder on the
-/// lowest device indices) — the rebuild's stand-in for the footprint
+/// lowest device indices) — the replay's stand-in for the footprint
 /// partition's `split_counts`.
 fn split_rows(rows: u64, devices: usize) -> Vec<u64> {
     let d = devices as u64;
@@ -807,31 +486,6 @@ fn prorate(dur: f64, part: u64, whole: u64) -> f64 {
         0.0
     } else {
         dur * part as f64 / whole as f64
-    }
-}
-
-/// The prefetch-window arithmetic of `clm_runtime::PrefetchWindow`,
-/// restated minimally so the trace crate does not depend on the runtime.
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    w: usize,
-    m: usize,
-}
-
-impl Window {
-    /// Initial frontier: micro-batches gathered before any compute.
-    fn initial(&self) -> std::ops::Range<usize> {
-        0..(self.w + 1).min(self.m)
-    }
-
-    /// Slots freed by the completion of micro-batch `k`.
-    fn after(&self, k: usize) -> std::ops::Range<usize> {
-        (k + self.w + 1).min(self.m)..(k + self.w + 2).min(self.m)
-    }
-
-    /// The compute op gather `i` must wait for (none inside the frontier).
-    fn compute_dep(&self, i: usize) -> Option<usize> {
-        i.checked_sub(self.w + 1)
     }
 }
 
@@ -911,7 +565,8 @@ pub fn critical_path(timeline: &Timeline) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{CostParams, TraceMeta, TraceWriter};
+    use crate::format::{TraceMeta, TraceWriter};
+    use sim_device::Lane;
 
     fn meta(devices: u32, window: u32) -> TraceMeta {
         TraceMeta {

@@ -40,11 +40,13 @@
 //! reported completion and the shared job slot is cleared.  The borrow
 //! therefore never outlives the caller's frame.
 //!
-//! Regions are serialised through the pool's region lock.  If a *worker*
-//! thread itself enters a parallel region (nested parallelism), that inner
-//! region degrades to a plain serial loop on the worker — waiting for the
-//! region lock from inside a region would deadlock, and at band granularity
-//! nested splitting has nothing left to win.
+//! Regions are serialised through the pool's region lock.  If a thread
+//! that is already inside a region — a pool worker, or the region's own
+//! calling thread while it helps drain the queue — enters another parallel
+//! region (nested parallelism), that inner region degrades to a plain
+//! serial loop on that thread: waiting for the region lock from inside a
+//! region would deadlock, and at band granularity nested splitting has
+//! nothing left to win.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -100,9 +102,27 @@ pub fn resolve_compute_threads(requested: usize) -> usize {
 }
 
 thread_local! {
-    /// Set for the lifetime of every pool worker thread; nested parallel
-    /// regions detect it and fall back to serial execution.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Set while the thread takes part in a parallel region: for the whole
+    /// lifetime of every pool worker, and for the duration of a region on
+    /// its calling thread.  Nested parallel regions detect it and fall back
+    /// to serial execution.
+    static IN_REGION: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as inside a region until dropped — also on
+/// unwind — and then restores the previous mark.
+struct RegionGuard(bool);
+
+impl RegionGuard {
+    fn enter() -> Self {
+        RegionGuard(IN_REGION.replace(true))
+    }
+}
+
+impl Drop for RegionGuard {
+    fn drop(&mut self) {
+        IN_REGION.set(self.0);
+    }
 }
 
 /// Lifetime-erased region job.  Only ever dereferenced between region start
@@ -195,17 +215,17 @@ impl ComputePool {
     /// unspecified order; see the module docs for why callers stay
     /// deterministic anyway.
     ///
-    /// `threads <= 1`, fewer than two jobs, or a call from inside a pool
-    /// worker (nested region) degenerates to a plain serial loop, so the
-    /// serial path *is* the parallel path at width 1 — there is no separate
-    /// code path to diverge from.
+    /// `threads <= 1`, fewer than two jobs, or a call from inside a region
+    /// (nesting, on a pool worker or on a region's caller) degenerates to a
+    /// plain serial loop, so the serial path *is* the parallel path at
+    /// width 1 — there is no separate code path to diverge from.
     pub fn for_each<J, F>(&self, threads: usize, jobs: Vec<J>, f: F)
     where
         J: Send,
         F: Fn(J) + Sync,
     {
         let width = threads.max(1).min(jobs.len());
-        if width <= 1 || IN_WORKER.get() {
+        if width <= 1 || IN_REGION.get() {
             for job in jobs {
                 f(job);
             }
@@ -221,6 +241,9 @@ impl ComputePool {
     /// Returns only after every participant has finished, even on panic —
     /// the soundness rendezvous for the lifetime-erased borrow.
     fn run_region(&self, extra: usize, job: &(dyn Fn() + Sync)) {
+        // The caller runs jobs too; a job that opens a region of its own
+        // must run it inline, not wait for the region lock held below.
+        let _in_region = RegionGuard::enter();
         let mut inner = self.inner.lock().expect("compute pool inner poisoned");
         while inner.workers.len() < extra {
             let shared = Arc::clone(&self.shared);
@@ -301,7 +324,7 @@ impl Drop for ComputePool {
 /// Worker body: park until a region has participation slots left, run the
 /// region job once, report completion, repeat until shutdown.
 fn worker_loop(shared: Arc<PoolShared>) {
-    IN_WORKER.set(true);
+    IN_REGION.set(true);
     // Participate in any epoch newer than the last one seen; starting at 0
     // means a freshly spawned worker may join the region that spawned it.
     let mut seen = 0u64;
@@ -478,9 +501,9 @@ mod tests {
 
     #[test]
     fn nested_regions_fall_back_to_serial() {
-        // A job that itself calls parallel_for_each: on a worker thread the
-        // inner region must run inline rather than deadlocking on the
-        // region lock.
+        // A job that itself calls parallel_for_each: on a worker thread and
+        // on the region's calling thread alike, the inner region must run
+        // inline rather than deadlocking on the region lock.
         let counter = AtomicUsize::new(0);
         parallel_for_each(4, (0..8).collect(), |_: usize| {
             parallel_for_each(4, (0..8).collect(), |_: usize| {

@@ -139,6 +139,49 @@ fn threaded_backend_survives_single_slot_backpressure() {
 }
 
 #[test]
+fn threaded_device_rounds_with_banded_compute_are_bit_identical() {
+    // Device rounds render their views concurrently on the compute pool,
+    // and each render opens a banded region of its own.  That nesting must
+    // fall back to serial on whichever thread hits it — a pool worker or
+    // the round's calling thread — instead of deadlocking on the pool's
+    // region lock, and it must never change the numerics.
+    let (dataset, targets, init) = setup(5);
+    let train = TrainConfig {
+        system: SystemKind::Clm,
+        batch_size: 4,
+        ..Default::default()
+    };
+    let mut sync = Trainer::new(init.clone(), train.clone());
+    let reference = sync.train_epoch(&dataset, &targets);
+    for num_devices in [2usize, 4] {
+        for compute_threads in [2usize, 4] {
+            let mut threaded = ThreadedBackend::new(
+                init.clone(),
+                train.clone(),
+                ThreadedConfig {
+                    num_devices,
+                    compute_threads,
+                    ..Default::default()
+                },
+            );
+            let reports = threaded.run_epoch(&dataset, &targets);
+            assert_eq!(reference.len(), reports.len());
+            for (r, t) in reference.iter().zip(&reports) {
+                assert_eq!(
+                    r, &t.batch,
+                    "devices {num_devices}, threads {compute_threads}: batch diverged"
+                );
+            }
+            assert_eq!(
+                threaded.trainer().model(),
+                sync.model(),
+                "devices {num_devices}, threads {compute_threads}: final parameters"
+            );
+        }
+    }
+}
+
+#[test]
 fn threaded_adaptive_window_reports_choices_without_changing_numerics() {
     let (dataset, targets, init) = setup(23);
     let train = TrainConfig {
